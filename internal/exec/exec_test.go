@@ -57,9 +57,20 @@ func testScenarios(t *testing.T) []*scenario.Scenario {
 	return out
 }
 
+// marshalOutcomes renders outcomes for byte comparison, coverage
+// included: Cov/CovU are json:"-", so each outcome's covered block IDs
+// are materialized beside its serializable fields.
 func marshalOutcomes(t *testing.T, outs []*Outcome) []byte {
 	t.Helper()
-	data, err := json.MarshalIndent(outs, "", " ")
+	type form struct {
+		*Outcome
+		Blocks []string `json:"blocks"`
+	}
+	forms := make([]form, len(outs))
+	for i, o := range outs {
+		forms[i] = form{o, o.BlockIDs()}
+	}
+	data, err := json.MarshalIndent(forms, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}

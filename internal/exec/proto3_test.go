@@ -3,7 +3,6 @@ package exec
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -92,9 +91,7 @@ func TestRemotePipelinedConcurrentBatches(t *testing.T) {
 				errs <- fmt.Errorf("seed %d local: %w", seed, err)
 				return
 			}
-			g, _ := json.Marshal(got)
-			w, _ := json.Marshal(want)
-			if !bytes.Equal(g, w) {
+			if !bytes.Equal(marshalOutcomes(t, got), marshalOutcomes(t, want)) {
 				errs <- fmt.Errorf("seed %d: pipelined outcomes diverge from local", seed)
 			}
 		}(seed)
