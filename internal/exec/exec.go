@@ -10,12 +10,12 @@
 //
 //   - Local — the zero-allocation in-process pool (controller.RunN),
 //     now an adapter. Fastest per-run latency, no isolation.
-//   - Pool — a fixed pool of worker subprocesses speaking the wire
-//     protocol over stdin/stdout. A workload panic that escapes the
-//     crash monitor kills one worker, not the session; the worker is
-//     respawned and the batch slice retried.
-//   - Remote — a TCP client for `lfi serve` workers, same protocol
-//     with a length-prefix frame. Fan batches across machines.
+//   - Pool — a fixed pool of worker subprocesses, each driven by a
+//     Remote client over its stdin/stdout. A workload panic that
+//     escapes the crash monitor kills one worker, not the session; the
+//     worker is respawned and the batch slice retried.
+//   - Remote — the one wire-protocol client: over TCP to `lfi serve`
+//     workers it fans batches across machines.
 //
 // All three consume a Batch (system name + serialized scenarios + seed)
 // and produce the same Outcome records: because runs are deterministic
@@ -110,20 +110,18 @@ type Batch struct {
 // failure signature is computed where the run executed (it needs the
 // injection log), so local, pool and remote batches dedup identically.
 type Outcome struct {
-	Name        string   `json:"name"`
-	Crashed     bool     `json:"crashed,omitempty"`
-	CrashKind   int      `json:"crash_kind,omitempty"`
-	CrashReason string   `json:"crash_reason,omitempty"`
-	CrashThread int      `json:"crash_thread,omitempty"`
-	WorkErr     string   `json:"work_err,omitempty"`
-	Signature   string   `json:"signature,omitempty"` // "" = passed
-	Injections  int      `json:"injections,omitempty"`
-	Blocks      []string `json:"blocks,omitempty"` // covered block IDs, sorted (JSON boundary form)
+	Name        string `json:"name"`
+	Crashed     bool   `json:"crashed,omitempty"`
+	CrashKind   int    `json:"crash_kind,omitempty"`
+	CrashReason string `json:"crash_reason,omitempty"`
+	CrashThread int    `json:"crash_thread,omitempty"`
+	WorkErr     string `json:"work_err,omitempty"`
+	Signature   string `json:"signature,omitempty"` // "" = passed
+	Injections  int    `json:"injections,omitempty"`
 
-	// Cov/CovU are the hot-path coverage encoding: a dense bitset over
-	// the block universe CovU. Backends fill these instead of Blocks;
-	// BlockIDs materializes the sorted-ID form at serialization
-	// boundaries (JSON stores, wire fallback).
+	// Cov/CovU are the run's coverage: a dense bitset over the block
+	// universe CovU (nil when the batch collected none). BlockIDs
+	// materializes the sorted-ID form at the JSON store boundary.
 	Cov  coverage.Bitset `json:"-"`
 	CovU *coverage.Index `json:"-"`
 
@@ -139,12 +137,12 @@ type Outcome struct {
 	Image string `json:"-"`
 }
 
-// BlockIDs returns the run's covered block IDs, sorted: the explicit
-// Blocks slice when set (wire/store deserialization), otherwise a fresh
-// materialization of the bitset. The result is caller-owned.
+// BlockIDs returns the run's covered block IDs, sorted (nil without
+// coverage), freshly materialized from the bitset. The result is
+// caller-owned.
 func (o *Outcome) BlockIDs() []string {
-	if o.Blocks != nil || o.CovU == nil {
-		return o.Blocks
+	if o.CovU == nil {
+		return nil
 	}
 	return o.CovU.AppendIDs(nil, o.Cov)
 }

@@ -98,7 +98,7 @@ func startLoopbackServe(t *testing.T, workers int) *Remote {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := request{ID: 7, Method: "run", Batch: &wireBatch{System: "minidb", Seed: 3, Scenarios: []string{"<x/>"}}}
+	in := request{ID: 7, Method: "funcs", System: "minidb"}
 	if err := writeFrame(&buf, &in); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := readFrame(&buf, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.ID != 7 || out.Method != "run" || out.Batch == nil || out.Batch.System != "minidb" {
+	if out != in {
 		t.Fatalf("frame round trip mangled the request: %+v", out)
 	}
 	// A frame claiming an absurd length is rejected before allocation.
@@ -173,7 +173,7 @@ func TestPoolWorkerCrashRespawn(t *testing.T) {
 
 	pool.mu.Lock()
 	for w := range pool.procs {
-		w.cmd.Process.Kill()
+		w.liveConn().(*childConn).cmd.Process.Kill()
 		break
 	}
 	pool.mu.Unlock()
@@ -292,19 +292,16 @@ func TestFleetCancellationSparse(t *testing.T) {
 	}
 }
 
-// TestRemoteDrainGraceTimeout: a cancelled Run against a wedged worker
-// gives up after the configured drain grace instead of the 30s default
-// — the connection is force-closed and the batch comes back as
-// BackendError for the scheduler to requeue.
-func TestRemoteDrainGraceTimeout(t *testing.T) {
+// fakeWorker listens on loopback and answers one connection's hello
+// advertising the given protocol version, then hands the connection to
+// rest (nil: hang up).
+func fakeWorker(t *testing.T, proto int, rest func(net.Conn)) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	// A worker that answers hello and then wedges: it swallows the run
-	// request and never responds, the shape of a hung or livelocked
-	// worker process (a killed one fails fast with a transport error).
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -315,19 +312,34 @@ func TestRemoteDrainGraceTimeout(t *testing.T) {
 		if err := readFrame(conn, &req); err != nil || req.Method != "hello" {
 			return
 		}
-		hello := &response{ID: req.ID, Hello: &helloInfo{Proto: protoVersion, Capacity: 1, Systems: []string{"minidb"}}}
+		hello := &response{ID: req.ID, Hello: &helloInfo{Proto: proto, Capacity: 1, Systems: []string{"minidb"}}}
 		if err := writeFrame(conn, hello); err != nil {
 			return
 		}
-		io.Copy(io.Discard, conn) // swallow the run request, never answer
+		if rest != nil {
+			rest(conn)
+		}
 	}()
+	return ln.Addr().String()
+}
 
-	r, err := Dial(ln.Addr().String())
+// TestRemoteDrainGraceTimeout: a cancelled Run against a wedged worker
+// gives up after the drain grace (shortened here from the 30s default)
+// — the connection is force-closed and the batch comes back as
+// BackendError for the scheduler to requeue.
+func TestRemoteDrainGraceTimeout(t *testing.T) {
+	// A worker that answers hello and then wedges: it swallows the run
+	// request and never responds, the shape of a hung or livelocked
+	// worker process (a killed one fails fast with a transport error).
+	addr := fakeWorker(t, protoVersion, func(conn net.Conn) {
+		io.Copy(io.Discard, conn) // swallow the run request, never answer
+	})
+	r, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.SetDrainGrace(50 * time.Millisecond)
+	r.drainGrace = 50 * time.Millisecond
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: Run goes straight to the drain wait

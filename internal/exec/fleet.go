@@ -92,7 +92,7 @@ func NewFleet(execs ...Executor) *Fleet {
 }
 
 // pipeliner is implemented by backends that keep several batches in
-// flight on one connection (Remote against a protocol-3 worker): the
+// flight on one connection (Remote): the
 // scheduler subdivides such a backend's chunk so the worker's input
 // queue never drains between batches.
 type pipeliner interface{ Pipeline() int }

@@ -2,19 +2,16 @@ package exec
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	osexec "os/exec"
 	"sync"
-	"time"
-
-	"lfi/internal/coverage"
 )
 
 // Pool is the subprocess backend: a fixed pool of worker processes,
-// each speaking the wire protocol over its stdin/stdout. The workers
+// each driven by a Remote client over its stdin/stdout. The workers
 // re-exec the current binary with EnvWorker set, so any program whose
 // main (or TestMain) calls MaybeWorker is pool-capable with no separate
 // worker executable.
@@ -26,14 +23,13 @@ import (
 // batch is retried once on a live worker, and only a repeat failure
 // surfaces as BackendError for the scheduler to requeue elsewhere.
 type Pool struct {
-	argv       []string
-	size       int
-	drainGrace time.Duration
+	argv []string
+	size int
 
 	mu     sync.Mutex
 	closed bool
-	procs  map[*poolWorker]bool
-	free   chan *poolWorker
+	procs  map[*Remote]bool
+	free   chan *Remote
 }
 
 // NewPool starts size worker subprocesses running argv (default: the
@@ -51,11 +47,10 @@ func NewPool(size int, argv ...string) (*Pool, error) {
 		argv = []string{self}
 	}
 	p := &Pool{
-		argv:       argv,
-		size:       size,
-		drainGrace: defaultDrainGrace,
-		procs:      make(map[*poolWorker]bool),
-		free:       make(chan *poolWorker, size),
+		argv:  argv,
+		size:  size,
+		procs: make(map[*Remote]bool),
+		free:  make(chan *Remote, size),
 	}
 	for i := 0; i < size; i++ {
 		w, err := p.spawn()
@@ -68,14 +63,6 @@ func NewPool(size int, argv ...string) (*Pool, error) {
 	return p, nil
 }
 
-// SetDrainGrace bounds how long a cancelled Run keeps draining a
-// worker's in-flight slice before killing the process (default 30s).
-func (p *Pool) SetDrainGrace(d time.Duration) {
-	if d > 0 {
-		p.drainGrace = d
-	}
-}
-
 // Info reports the pool's metadata: capacity is the worker count (each
 // worker runs its slice sequentially; pool parallelism is process-level).
 func (p *Pool) Info() Info {
@@ -86,14 +73,11 @@ func (p *Pool) Info() Info {
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	p.closed = true
-	procs := make([]*poolWorker, 0, len(p.procs))
-	for w := range p.procs {
-		procs = append(procs, w)
-	}
-	p.procs = make(map[*poolWorker]bool)
+	procs := p.procs
+	p.procs = make(map[*Remote]bool)
 	p.mu.Unlock()
-	for _, w := range procs {
-		w.kill()
+	for w := range procs {
+		w.Close()
 	}
 	return nil
 }
@@ -129,6 +113,8 @@ func (p *Pool) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 			// dead worker completed: the first failure may be a
 			// crashed (now respawned) process; a second failure means
 			// the slice itself is poison or the pool is going down.
+			// Sub-batches carry no Observe: Run streams the reassembled
+			// prefix once, below.
 			done := 0
 			var err error
 			for attempt := 0; attempt < 2 && sl.off+done < sl.end; attempt++ {
@@ -188,52 +174,25 @@ func sliceDone(outs []*Outcome) []*Outcome {
 // runSlice executes one contiguous slice on the next free worker,
 // respawning the worker if it died.
 func (p *Pool) runSlice(ctx context.Context, sub *Batch) ([]*Outcome, error) {
-	var w *poolWorker
+	var w *Remote
 	select {
 	case w = <-p.free:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	var resp response
-	done := make(chan error, 1)
-	go func() {
-		done <- w.call("run", sub, &resp)
-	}()
-	var err error
-	select {
-	case err = <-done:
-	case <-ctx.Done():
-		// Drain like the remote backend: the worker finishes its
-		// slice; its outcomes land in the store before we stop.
-		t := time.NewTimer(p.drainGrace)
-		select {
-		case err = <-done:
-			t.Stop()
-		case <-t.C:
-			p.replace(w)
-			<-done
-			return nil, &BackendError{Backend: p.Info().Name, Err: fmt.Errorf("cancelled and drain timed out")}
-		}
-	}
-	if err != nil {
+	outs, err := w.Run(ctx, sub)
+	if IsBackendError(err) {
 		p.replace(w)
-		return nil, &BackendError{Backend: p.Info().Name, Err: err}
+	} else {
+		p.free <- w
 	}
-	p.free <- w
-	if len(resp.Outcomes) > len(sub.Scenarios) {
-		resp.Outcomes = resp.Outcomes[:len(sub.Scenarios)]
-	}
-	if resp.Error != "" {
-		// A batch problem; the worker's completed prefix still counts.
-		return resp.Outcomes, fmt.Errorf("exec: pool worker: %s", resp.Error)
-	}
-	return resp.Outcomes, ctx.Err()
+	return outs, err
 }
 
-// replace kills a (presumed dead) worker and tries to spawn a fresh
-// one in its place; on spawn failure the pool just shrinks.
-func (p *Pool) replace(w *poolWorker) {
-	w.kill()
+// replace closes a dead worker and tries to spawn a fresh one in its
+// place; on spawn failure the pool just shrinks.
+func (p *Pool) replace(w *Remote) {
+	w.Close()
 	p.mu.Lock()
 	delete(p.procs, w)
 	closed := p.closed
@@ -248,8 +207,9 @@ func (p *Pool) replace(w *poolWorker) {
 	p.free <- nw
 }
 
-// spawn starts one worker subprocess and verifies it with hello.
-func (p *Pool) spawn() (*poolWorker, error) {
+// spawn starts one worker subprocess and connects a Remote to its
+// stdio, which performs the hello exchange.
+func (p *Pool) spawn() (*Remote, error) {
 	cmd := osexec.Command(p.argv[0], p.argv[1:]...)
 	cmd.Env = append(os.Environ(), EnvWorker+"=1")
 	cmd.Stderr = os.Stderr
@@ -264,87 +224,36 @@ func (p *Pool) spawn() (*poolWorker, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("exec: pool: %w", err)
 	}
-	w := &poolWorker{cmd: cmd, in: stdin, out: stdout, proto: protoOldest, universes: make(map[uint64]*coverage.Index)}
-	var resp response
-	if err := w.call("hello", nil, &resp); err != nil {
-		w.kill()
-		return nil, fmt.Errorf("exec: pool worker hello: %w", err)
+	w, err := newRemote(fmt.Sprintf("pool worker %d", cmd.Process.Pid), &childConn{stdout, stdin, cmd})
+	if err != nil {
+		return nil, err
 	}
-	if resp.Hello == nil {
-		w.kill()
-		return nil, fmt.Errorf("exec: pool worker: malformed hello response")
-	}
-	if resp.Hello.Proto < protoOldest || resp.Hello.Proto > protoVersion {
-		w.kill()
-		return nil, fmt.Errorf("exec: pool worker speaks proto v%d, need v%d — rebuild worker", resp.Hello.Proto, protoVersion)
-	}
-	w.proto = resp.Hello.Proto
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		w.kill()
-		return nil, fmt.Errorf("exec: pool closed")
+		w.Close()
+		return nil, errors.New("exec: pool closed")
 	}
 	p.procs[w] = true
 	p.mu.Unlock()
 	return w, nil
 }
 
-// poolWorker is one subprocess and its stdio protocol stream.
-type poolWorker struct {
-	cmd       *osexec.Cmd
-	in        io.WriteCloser
-	out       io.ReadCloser
-	nextID    uint64
-	proto     int
-	universes map[uint64]*coverage.Index // per-worker universe table
+// childConn is a worker subprocess's stdio as one stream: reads come
+// from its stdout, writes go to its stdin, and Close kills and reaps
+// the process.
+type childConn struct {
+	io.ReadCloser
+	io.WriteCloser
+	cmd *osexec.Cmd
 }
 
-// call sends one request and reads its response: binary frames for run
-// requests once the worker negotiated protocol 2, JSON otherwise
-// (mirrors Remote.call; pool workers are single-client so no lock).
-func (w *poolWorker) call(method string, b *Batch, resp *response) error {
-	w.nextID++
-	id := w.nextID
-	if method == "run" && w.proto >= 2 {
-		if err := writeRawFrame(w.in, encodeRunRequest(id, b)); err != nil {
-			return err
-		}
-		payload, err := readRawFrame(w.out)
-		if err != nil {
-			return err
-		}
-		if isBinaryFrame(payload, frameRunResp) {
-			err = decodeRunResponse(payload, resp, w.universes)
-		} else {
-			err = json.Unmarshal(payload, resp)
-		}
-		if err != nil {
-			return err
-		}
-	} else {
-		req := &request{ID: id, Method: method}
-		if b != nil {
-			req.Batch = toWire(b)
-		}
-		if err := writeFrame(w.in, req); err != nil {
-			return err
-		}
-		if err := readFrame(w.out, resp); err != nil {
-			return err
-		}
-	}
-	if resp.ID != id {
-		return fmt.Errorf("response id %d for request %d", resp.ID, id)
-	}
+// Close tears the worker down. Its errors carry nothing: the process
+// is killed on purpose, so Wait can only report that.
+func (c *childConn) Close() error {
+	c.WriteCloser.Close()
+	c.ReadCloser.Close()
+	c.cmd.Process.Kill()
+	c.cmd.Wait()
 	return nil
-}
-
-func (w *poolWorker) kill() {
-	w.in.Close()
-	w.out.Close()
-	if w.cmd.Process != nil {
-		w.cmd.Process.Kill()
-	}
-	w.cmd.Wait()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -12,32 +13,31 @@ import (
 	"lfi/internal/coverage"
 )
 
-// Remote is the client side of the wire protocol: one TCP connection to
-// an `lfi serve` worker.
+// Remote is the client side of the wire protocol: one stream to a
+// worker — a TCP connection to an `lfi serve` worker (Dial), or a pool
+// subprocess's stdin/stdout.
 //
-// Against a protocol-3 worker the connection is **pipelined**: Run is
-// safe for concurrent use and up to Pipeline() batches ride the wire
-// at once, matched back to callers by request id through a single
-// reader goroutine — the worker's input queue stays non-empty, so the
-// round-trip latency is off the critical path. Cancellation sends a
-// cancel frame and the worker answers promptly with the completed
-// prefix; the drain grace survives only as the fallback for wedged or
-// proto≤2 peers. A broken connection fails every in-flight batch with
-// BackendError and marks the backend dead — the scheduler requeues the
-// batches' runs elsewhere, so killing a worker loses no work.
+// The connection is **pipelined**: Run is safe for concurrent use and
+// up to Pipeline() batches ride the wire at once, matched back to
+// callers by request id through a single reader goroutine — the
+// worker's input queue stays non-empty, so the round-trip latency is
+// off the critical path. Cancellation sends a cancel frame and the
+// worker answers promptly with the completed prefix; the drain grace
+// only guards against wedged workers. A broken connection fails every
+// in-flight batch with BackendError and marks the backend dead — the
+// scheduler requeues the batches' runs elsewhere, so killing a worker
+// loses no work.
 type Remote struct {
-	addr  string
+	addr  string // TCP address, or a pool worker's label
 	hello helloInfo
-	proto int // negotiated protocol: min(ours, worker's)
 
 	// drainGrace bounds how long a cancelled Run keeps waiting for the
-	// in-flight response before force-closing the connection. With a
-	// protocol-3 worker the cancel frame makes the response arrive in
-	// batch-drain time (milliseconds); older workers run the batch to
-	// completion, which is what the grace was sized for.
+	// in-flight response before force-closing the connection. The
+	// cancel frame makes a live worker answer in batch-drain time
+	// (milliseconds); only a wedged worker ever runs into the grace.
 	drainGrace time.Duration
 	// pipeline is the in-flight batch budget Pipeline() advertises to
-	// the fleet scheduler (protocol 3 only).
+	// the fleet scheduler.
 	pipeline int
 
 	mu      sync.Mutex // request ids + pending-response registry
@@ -48,7 +48,7 @@ type Remote struct {
 	writeMu sync.Mutex // one frame writer at a time
 
 	// universes is the per-connection coverage-universe table. Only
-	// the reader goroutine touches it after Dial.
+	// the reader goroutine touches it after the hello.
 	universes map[uint64]*coverage.Index
 
 	funcsMu sync.Mutex
@@ -58,7 +58,7 @@ type Remote struct {
 	// the connection while the reader is blocked in a read — closing
 	// the socket is exactly what unblocks that read.
 	connMu sync.Mutex
-	conn   net.Conn
+	conn   io.ReadWriteCloser
 
 	readDone chan struct{}
 }
@@ -78,30 +78,35 @@ func (e *ProtoMismatchError) Error() string {
 }
 
 // defaultDrainGrace is generous: a batch is at most a few hundred
-// simulated runs, each of which completes in milliseconds.
+// simulated runs, each of which completes in milliseconds, and a live
+// worker answers a cancel frame long before the grace runs out.
 const defaultDrainGrace = 30 * time.Second
 
-// defaultPipeline is how many batches a protocol-3 connection keeps in
-// flight: enough that the worker never idles waiting on the wire, few
-// enough that a cancel loses little queued work.
+// defaultPipeline is how many batches a connection keeps in flight:
+// enough that the worker never idles waiting on the wire, few enough
+// that a cancel loses little queued work.
 const defaultPipeline = 4
 
 // Dial connects to an `lfi serve` worker and performs the hello
-// exchange, negotiating the protocol version and learning the worker's
-// capacity, registered systems, and (protocol 3) per-system image
-// versions. A protocol-1 worker is served with JSON run frames; a
-// worker outside [protoOldest, protoVersion] fails with
-// ProtoMismatchError so fleet assembly can drop the worker and keep
-// the campaign.
+// exchange, learning the worker's capacity, registered systems and
+// per-system image versions. A worker speaking another protocol
+// version fails with ProtoMismatchError so fleet assembly can drop the
+// worker and keep the campaign.
 func Dial(addr string) (*Remote, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("exec: remote %s: %w", addr, err)
 	}
+	return newRemote(addr, conn)
+}
+
+// newRemote runs the hello exchange over conn and starts the reader
+// demux. addr labels the worker in errors and Info; conn is closed on
+// failure.
+func newRemote(addr string, conn io.ReadWriteCloser) (*Remote, error) {
 	r := &Remote{
 		addr:       addr,
 		conn:       conn,
-		proto:      protoOldest, // hello itself is always JSON
 		drainGrace: defaultDrainGrace,
 		pipeline:   defaultPipeline,
 		pending:    make(map[uint64]chan *response),
@@ -123,24 +128,13 @@ func Dial(addr string) (*Remote, error) {
 		conn.Close()
 		return nil, fmt.Errorf("exec: remote %s: malformed hello response", addr)
 	}
-	if resp.Hello.Proto < protoOldest || resp.Hello.Proto > protoVersion {
+	if resp.Hello.Proto != protoVersion {
 		conn.Close()
 		return nil, &ProtoMismatchError{Addr: addr, Got: resp.Hello.Proto}
 	}
 	r.hello = *resp.Hello
-	r.proto = resp.Hello.Proto
 	go r.readLoop(conn)
 	return r, nil
-}
-
-// SetDrainGrace bounds how long a cancelled Run keeps draining the
-// in-flight batch before force-closing the connection (default 30s).
-// Against protocol-3 workers the cancel frame makes the grace a pure
-// fallback; it never delays an uncancelled run.
-func (r *Remote) SetDrainGrace(d time.Duration) {
-	if d > 0 {
-		r.drainGrace = d
-	}
 }
 
 // SetPipeline overrides the in-flight batch budget (default 4). It
@@ -153,14 +147,8 @@ func (r *Remote) SetPipeline(k int) {
 }
 
 // Pipeline reports how many batches this backend wants in flight at
-// once: the configured depth against a protocol-3 worker, 1 against
-// anything older (those connections are strictly call-and-response).
-func (r *Remote) Pipeline() int {
-	if r.proto >= 3 {
-		return r.pipeline
-	}
-	return 1
-}
+// once.
+func (r *Remote) Pipeline() int { return r.pipeline }
 
 // Info reports the worker's advertised metadata. A remote worker is
 // crash-isolated by construction: it is a different process on
@@ -173,7 +161,7 @@ func (r *Remote) Info() Info {
 func (r *Remote) Systems() []string { return r.hello.Systems }
 
 // ImageVersion reports the image version the worker advertised for a
-// system ("" when unknown: a proto≤2 worker, or a system it lacks).
+// system ("" for a system it lacks).
 func (r *Remote) ImageVersion(sys string) string { return r.hello.Images[sys] }
 
 // FuncFingerprints fetches (and caches) the worker's per-function
@@ -185,9 +173,6 @@ func (r *Remote) FuncFingerprints(sys string) (map[string]string, error) {
 	defer r.funcsMu.Unlock()
 	if m, ok := r.funcs[sys]; ok {
 		return m, nil
-	}
-	if r.proto < 3 {
-		return nil, fmt.Errorf("exec: remote %s: proto v%d has no funcs method", r.addr, r.proto)
 	}
 	conn := r.liveConn()
 	if conn == nil {
@@ -239,7 +224,7 @@ func (r *Remote) drop() {
 }
 
 // liveConn snapshots the connection for one exchange.
-func (r *Remote) liveConn() net.Conn {
+func (r *Remote) liveConn() io.ReadWriteCloser {
 	r.connMu.Lock()
 	defer r.connMu.Unlock()
 	return r.conn
@@ -282,7 +267,7 @@ func (r *Remote) readError() error {
 // On any failure it tears the connection down and fails every pending
 // request — their callers surface BackendError and the scheduler
 // requeues.
-func (r *Remote) readLoop(conn net.Conn) {
+func (r *Remote) readLoop(conn io.Reader) {
 	var err error
 	for {
 		var payload []byte
@@ -322,13 +307,13 @@ func (r *Remote) readLoop(conn net.Conn) {
 
 // Run ships the batch to the worker and waits for its outcomes; it is
 // safe for concurrent use (the fleet pipelines several batches onto
-// one protocol-3 connection). On cancellation it sends a cancel frame
-// (protocol 3) so the worker stops after its in-flight runs and
-// answers with the completed prefix — returned with ctx.Err(), so the
-// caller persists them exactly like a locally interrupted batch. The
-// drain grace remains as the fallback: a proto≤2 worker runs the batch
-// out, a wedged worker is force-closed. Transport failures (a killed
-// worker) come back as BackendError: requeue, don't retry here.
+// one connection). On cancellation it sends a cancel frame so the
+// worker stops after its in-flight runs and answers with the completed
+// prefix — returned with ctx.Err(), so the caller persists them
+// exactly like a locally interrupted batch. A worker that does not
+// answer within the drain grace is wedged and force-closed. Transport
+// failures (a killed worker) come back as BackendError: requeue, don't
+// retry here.
 func (r *Remote) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 	conn := r.liveConn()
 	if conn == nil {
@@ -339,11 +324,7 @@ func (r *Remote) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 		return nil, &BackendError{Backend: r.Info().Name, Err: err}
 	}
 	r.writeMu.Lock()
-	if r.proto >= 2 {
-		err = writeRawFrame(conn, encodeRunRequest(id, b))
-	} else {
-		err = writeFrame(conn, &request{ID: id, Method: "run", Batch: toWire(b)})
-	}
+	err = writeRawFrame(conn, encodeRunRequest(id, b))
 	r.writeMu.Unlock()
 	if err != nil {
 		r.abandon(id)
@@ -356,14 +337,12 @@ func (r *Remote) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 	case resp = <-ch:
 	case <-ctx.Done():
 		cancelled = true
-		if r.proto >= 3 {
-			// Fast drain: the worker stops after in-flight runs and
-			// answers with the prefix. A write failure just demotes us
-			// to the grace path below.
-			r.writeMu.Lock()
-			writeRawFrame(conn, encodeCancel(id))
-			r.writeMu.Unlock()
-		}
+		// Fast drain: the worker stops after in-flight runs and answers
+		// with the prefix. A write failure leaves the grace below to
+		// end the wait.
+		r.writeMu.Lock()
+		writeRawFrame(conn, encodeCancel(id))
+		r.writeMu.Unlock()
 		t := time.NewTimer(r.drainGrace)
 		select {
 		case resp = <-ch:

@@ -24,7 +24,8 @@ import (
 // This file is the worker side of the wire protocol: the TCP server
 // behind `lfi serve`, the stdio loop pool workers run, and the
 // self-re-exec hook that turns any binary calling MaybeWorker into a
-// pool-capable worker.
+// pool-capable worker. Both transports run the same connection loop,
+// and the client on the other end is always a Remote.
 
 // EnvWorker, when set in a process's environment, makes MaybeWorker
 // take over the process as a stdio protocol worker (the pool backend's
@@ -150,7 +151,7 @@ func WorkerRegistration(addr string, workers int) fleetd.Worker {
 
 // ServeCounters aggregates a worker's lifetime execution counters for
 // heartbeat reporting: batches and runs completed, and batches cut
-// short by a protocol-3 cancel. All methods are safe for concurrent
+// short by a cancel frame. All methods are safe for concurrent
 // use.
 type ServeCounters struct {
 	batches atomic.Int64
@@ -323,14 +324,12 @@ const cancelledBatch = "cancelled"
 // queue drains, which only hurts itself.
 const pipelineQueueMax = 64
 
-// queuedRun is one run request awaiting the connection's executor
-// goroutine: either a protocol-2/3 binary payload (decoded at
-// execution time, so the read loop never touches serverConn state) or
-// an already-unmarshalled JSON request.
+// queuedRun is one binary run request awaiting the connection's
+// executor goroutine; its payload is decoded at execution time, so the
+// read loop never touches serverConn state.
 type queuedRun struct {
 	id      uint64
-	payload []byte   // binary form; nil when req is set
-	req     *request // JSON form; nil when payload is set
+	payload []byte
 	ctx     context.Context
 }
 
@@ -343,21 +342,20 @@ func ServeConn(conn io.ReadWriter, workers int) error {
 	return serveConn(context.Background(), conn, ServeOptions{Workers: workers})
 }
 
-// serveConn is the connection loop. Run requests arrive as binary
-// frames (protocol 2/3, answered in kind) or as protocol-1 JSON
-// (answered with JSON, coverage materialized as sorted block-ID
-// strings) — the first payload byte tells them apart, so one worker
-// serves every client vintage.
+// serveConn is the connection loop. Run requests and cancels arrive as
+// binary frames, hello and funcs as JSON control frames; the first
+// payload byte tells them apart. A hello from a client speaking any
+// other protocol version is answered with an in-band error naming the
+// remedy, and the connection ends.
 //
-// The loop splits into two goroutines so protocol-3 semantics work:
-// the read loop enqueues run requests (up to pipelineQueueMax deep —
-// pipelining) and handles control frames inline, while a single
-// executor goroutine runs batches strictly in arrival order
-// (determinism: same FIFO execution a sequential client got). A
-// cancel frame cancels the named request's context whether it is
-// executing or still queued; the cancelled batch answers with its
-// completed prefix and the in-band "cancelled" error, which is what
-// frees clients from the 30s drain grace.
+// The loop splits into two goroutines: the read loop enqueues run
+// requests (up to pipelineQueueMax deep — pipelining) and handles
+// control frames inline, while a single executor goroutine runs
+// batches strictly in arrival order (determinism: same FIFO execution
+// a sequential client got). A cancel frame cancels the named request's
+// context whether it is executing or still queued; the cancelled batch
+// answers with its completed prefix and the in-band "cancelled" error,
+// which is what frees clients from the 30s drain grace.
 func serveConn(ctx context.Context, conn io.ReadWriter, opts ServeOptions) error {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -404,7 +402,7 @@ func serveConn(ctx context.Context, conn io.ReadWriter, opts ServeOptions) error
 	go func() {
 		defer close(done)
 		for qr := range queue {
-			serveRun(local, sc, opts.Counters, qr, write, writeJSON)
+			serveRun(local, sc, opts.Counters, qr, write)
 			retire(qr.id)
 		}
 	}()
@@ -443,7 +441,17 @@ read:
 			}
 			switch req.Method {
 			case "hello":
-				resp := response{ID: req.ID, Hello: helloFor(req.Proto, workers)}
+				if req.Proto != protoVersion {
+					readErr = fmt.Errorf("exec: client speaks proto v%d, worker needs v%d — rebuild client", req.Proto, protoVersion)
+					writeJSON(&response{ID: req.ID, Error: readErr.Error()})
+					break read
+				}
+				resp := response{ID: req.ID, Hello: &helloInfo{
+					Proto:    protoVersion,
+					Capacity: workers,
+					Systems:  system.Names(),
+					Images:   workerImages(),
+				}}
 				if err := writeJSON(&resp); err != nil {
 					readErr = err
 					break read
@@ -460,9 +468,6 @@ read:
 					readErr = err
 					break read
 				}
-			case "run":
-				r := req
-				queue <- queuedRun{id: req.ID, req: &r, ctx: admit(req.ID)}
 			default:
 				resp := response{ID: req.ID, Error: fmt.Sprintf("unknown method %q", req.Method)}
 				if err := writeJSON(&resp); err != nil {
@@ -484,29 +489,15 @@ read:
 	return readErr
 }
 
-// helloFor negotiates the hello response: min(ours, client's), where a
-// client that sent no version (the field exists since protocol 3)
-// counts as protocol 2 — exactly what those builds were. Image
-// versions are advertised to protocol-3 clients only.
-func helloFor(clientProto, workers int) *helloInfo {
-	p := protoVersion
-	if clientProto == 0 {
-		clientProto = 2
-	}
-	if clientProto < p {
-		p = clientProto
-	}
-	h := &helloInfo{Proto: p, Capacity: workers, Systems: system.Names()}
-	if p >= 3 {
-		h.Images = workerImages()
-	}
-	return h
-}
-
 // serveRun executes one queued run request and writes its response.
-func serveRun(local *Local, sc *serverConn, counters *ServeCounters, qr queuedRun, write func([]byte) error, writeJSON func(any) error) {
-	runCtx := func(b *Batch) (outs []*Outcome, errStr string) {
-		outs, err := local.Run(qr.ctx, b)
+func serveRun(local *Local, sc *serverConn, counters *ServeCounters, qr queuedRun, write func([]byte) error) {
+	id, b, err := decodeRunRequest(qr.payload, sc.parse)
+	var outs []*Outcome
+	var errStr string
+	if err != nil {
+		errStr = err.Error()
+	} else {
+		outs, err = local.Run(qr.ctx, b)
 		if err != nil {
 			if qr.ctx.Err() != nil && errors.Is(err, qr.ctx.Err()) {
 				errStr = cancelledBatch
@@ -521,42 +512,15 @@ func serveRun(local *Local, sc *serverConn, counters *ServeCounters, qr queuedRu
 			counters.batches.Add(1)
 			counters.runs.Add(int64(len(outs)))
 		}
-		return outs, errStr
 	}
-	if qr.payload != nil {
-		id, b, derr := decodeRunRequest(qr.payload, sc.parse)
-		var outs []*Outcome
-		var errStr string
-		if derr != nil {
-			errStr = derr.Error()
-		} else {
-			outs, errStr = runCtx(b)
-		}
-		var tag uint64
-		var inline []string
-		for _, o := range outs {
-			if o.CovU != nil {
-				// One system per batch, so one universe per response.
-				tag, inline = sc.universe(o.CovU)
-				break
-			}
-		}
-		write(encodeRunResponse(id, errStr, outs, tag, inline))
-		return
-	}
-	req := qr.req
-	resp := response{ID: req.ID}
-	if req.Batch == nil {
-		resp.Error = "run request without batch"
-	} else if b, err := fromWireCached(sc, req.Batch); err != nil {
-		resp.Error = err.Error()
-	} else {
-		resp.Outcomes, resp.Error = runCtx(b)
-		for _, o := range resp.Outcomes {
-			if o.Blocks == nil && o.CovU != nil {
-				o.Blocks = o.BlockIDs() // JSON boundary: sorted-ID form
-			}
+	var tag uint64
+	var inline []string
+	for _, o := range outs {
+		if o.CovU != nil {
+			// One system per batch, so one universe per response.
+			tag, inline = sc.universe(o.CovU)
+			break
 		}
 	}
-	writeJSON(&resp)
+	write(encodeRunResponse(id, errStr, outs, tag, inline))
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"lfi/internal/scenario"
 )
 
 // The wire protocol shared by the pool (stdio) and remote (TCP)
@@ -15,81 +13,73 @@ import (
 // stream transport and a reader can reject oversized or torn messages
 // before parsing.
 //
-// Two payload encodings share the framing and are distinguished by the
-// first payload byte:
+// There is one protocol version, protoVersion. Its payloads come in
+// two encodings, told apart by the first payload byte:
 //
-//   - JSON (first byte '{'): the protocol-1 encoding, still used for
-//     hello/control methods and as the fallback when either end speaks
-//     protocol 1.
+//   - JSON control frames (first byte '{'): the hello exchange and the
+//     "funcs" method. Both ends send their version in the hello; a peer
+//     speaking any other version is refused at connection setup (the
+//     client fails with ProtoMismatchError, the worker answers with an
+//     in-band error), never mid-campaign.
 //
-//	client → worker: {"id":1,"method":"hello"}
-//	worker → client: {"id":1,"hello":{"proto":2,"capacity":4,"systems":[...]}}
-//	client → worker: {"id":2,"method":"run","batch":{...}}
-//	worker → client: {"id":2,"outcomes":[...]}
+//	client → worker: {"id":1,"method":"hello","proto":3}
+//	worker → client: {"id":1,"hello":{"proto":3,"capacity":4,"systems":[...],"images":{...}}}
+//	client → worker: {"id":2,"method":"funcs","system":"minidb"}
+//	worker → client: {"id":2,"funcs":{...}}
 //
-//   - binary (first byte 0xB2): the protocol-2 encoding of the hot
-//     "run" method — varint batch header, per-connection block-universe
-//     table, bitset coverage, and a per-response string table (see
-//     wire2.go). Negotiated by the hello exchange: a client that
-//     learns the worker speaks protocol 2 switches its run frames to
-//     binary; everything else stays JSON.
+//   - binary frames (first byte 0xB2) for the hot path: run requests,
+//     run responses — varint batch header, per-connection block-universe
+//     table, bitset coverage, per-response string table — and cancel
+//     frames (see wire2.go for the grammar).
 //
-// Protocol 3 keeps both encodings and adds service semantics on top:
+// On top of the encodings sit the service semantics:
 //
-//   - the hello request carries the client's protocol version and the
-//     two ends settle on min(client, worker), so every pairing of old
-//     and new builds still interoperates;
-//   - a binary **cancel** frame (kind 0x03) names an in-flight run
-//     request by id; the worker stops starting new runs, finishes the
-//     ones in flight, and answers the cancelled request with its
-//     completed prefix — drains no longer depend on the 30s grace
-//     timeout (kept only as the fallback for proto≤2 peers);
+//   - a **cancel** frame names an in-flight run request by id; the
+//     worker stops starting new runs, finishes the ones in flight, and
+//     answers the cancelled request with its completed prefix, so a
+//     drain takes one frame round-trip (the 30s grace only guards
+//     wedged workers);
 //   - requests are **pipelined**: a worker reads the next run request
 //     while executing the current one (batches still execute in FIFO
 //     order per connection, preserving determinism), and responses
 //     carry ids so a client can keep several batches in flight;
-//   - the hello response advertises per-system **image versions** and a
-//     "funcs" control method serves per-function fingerprints, so a
-//     client can detect a mixed-build worker and reconcile its
-//     outcomes through the store's migration machinery instead of
-//     dropping them.
+//   - the hello response advertises per-system **image versions** and
+//     "funcs" serves per-function fingerprints, so a client can detect
+//     a mixed-build worker and reconcile its outcomes through the
+//     store's migration machinery instead of dropping them.
 //
 // A batch's scenarios travel as canonical XML (scenario.Serialize is
 // byte-deterministic), so content hashes — and therefore store keys —
 // mean the same thing on both ends. Errors come back in-band on the
 // response's error field; transport failures surface as BackendError.
 
-// protoVersion is what this build speaks natively; protoOldest is the
-// oldest peer protocol it can still fall back to (JSON frames). A hello
-// outside [protoOldest, protoVersion] is rejected at connection setup,
-// not mid-campaign.
-const (
-	protoVersion = 3
-	protoOldest  = 1
-)
+// protoVersion is the one wire protocol this build speaks; a hello
+// advertising any other version is rejected at connection setup.
+const protoVersion = 3
 
 // maxFrame bounds one message (a batch of a few hundred scenarios is
 // well under 1 MiB; 64 MiB rejects garbage and runaway peers).
 const maxFrame = 64 << 20
 
+// request is a JSON control frame: hello or funcs.
 type request struct {
-	ID     uint64     `json:"id"`
-	Method string     `json:"method"`
-	Batch  *wireBatch `json:"batch,omitempty"`
-	// Proto is the client's native protocol version, sent with hello
-	// since protocol 3 (absent — zero — means a proto≤2 client).
+	ID     uint64 `json:"id"`
+	Method string `json:"method"`
+	// Proto is the client's protocol version, sent with hello.
 	Proto int `json:"proto,omitempty"`
-	// System parametrizes the "funcs" method (protocol 3).
+	// System parametrizes the "funcs" method.
 	System string `json:"system,omitempty"`
 }
 
+// response is any frame a worker answers with: the JSON control
+// responses, and the decoded form of a binary run response.
 type response struct {
 	ID       uint64     `json:"id"`
 	Error    string     `json:"error,omitempty"`
 	Hello    *helloInfo `json:"hello,omitempty"`
-	Outcomes []*Outcome `json:"outcomes,omitempty"`
+	Outcomes []*Outcome `json:"-"` // binary run responses only
 	// Funcs answers a "funcs" request: the worker's per-function
-	// fingerprints for one system (protocol 3).
+	// fingerprints for one system.
 	Funcs map[string]string `json:"funcs,omitempty"`
 }
 
@@ -98,44 +88,10 @@ type helloInfo struct {
 	Capacity int      `json:"capacity"`
 	Systems  []string `json:"systems"`
 	// Images maps each advertised system to the image version the
-	// worker would execute it as (protocol 3) — the mixed-build
-	// handshake: a client whose own image differs reconciles this
-	// worker's outcomes instead of trusting them blindly.
+	// worker would execute it as — the mixed-build handshake: a client
+	// whose own image differs reconciles this worker's outcomes
+	// instead of trusting them blindly.
 	Images map[string]string `json:"images,omitempty"`
-}
-
-// wireBatch is a Batch with scenarios serialized for transport.
-type wireBatch struct {
-	System    string   `json:"system"`
-	Seed      int64    `json:"seed,omitempty"`
-	Coverage  bool     `json:"coverage,omitempty"`
-	Scenarios []string `json:"scenarios"`
-}
-
-// toWire serializes a batch's scenarios into canonical XML.
-func toWire(b *Batch) *wireBatch {
-	wb := &wireBatch{System: b.System, Seed: b.Seed, Coverage: b.Coverage}
-	wb.Scenarios = make([]string, len(b.Scenarios))
-	for i, s := range b.Scenarios {
-		wb.Scenarios[i] = string(s.Serialize())
-	}
-	return wb
-}
-
-// fromWireCached parses a received batch back into scenarios through
-// the connection's memoizing parser, so a resent scenario document maps
-// to the same *Scenario (and the same compiled program).
-func fromWireCached(sc *serverConn, wb *wireBatch) (*Batch, error) {
-	b := &Batch{System: wb.System, Seed: wb.Seed, Coverage: wb.Coverage}
-	b.Scenarios = make([]*scenario.Scenario, len(wb.Scenarios))
-	for i, doc := range wb.Scenarios {
-		s, err := sc.parse(doc)
-		if err != nil {
-			return nil, fmt.Errorf("exec: batch scenario %d: %w", i, err)
-		}
-		b.Scenarios[i] = s
-	}
-	return b, nil
 }
 
 // writeRawFrame writes one length-prefixed frame.

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -49,8 +48,8 @@ func outcomesFromBytes(data []byte, idx *coverage.Index) []*Outcome {
 			for w := range cov {
 				cov[w] = uint64(b[7]) * 0x0101010101010101 >> uint(w)
 			}
-			// Mask bits beyond the universe so AppendIDs and the JSON
-			// path agree on the footprint.
+			// Mask bits beyond the universe: the codec carries whole
+			// words, AppendIDs names only blocks inside the universe.
 			cov[len(cov)-1] &= (1 << (uint(idx.Len()) % 64)) - 1
 			o.Cov = cov
 			o.CovU = idx
@@ -61,8 +60,8 @@ func outcomesFromBytes(data []byte, idx *coverage.Index) []*Outcome {
 }
 
 // outcomeEqual compares the serializable fields of two outcomes,
-// coverage in materialized sorted-ID form (the cross-encoding
-// invariant: binary and JSON must agree on exactly these).
+// coverage in materialized sorted-ID form (the round-trip invariant:
+// the binary codec must preserve exactly these).
 func outcomeEqual(a, b *Outcome) bool {
 	if a.Name != b.Name || a.Crashed != b.Crashed || a.CrashKind != b.CrashKind ||
 		a.CrashReason != b.CrashReason || a.CrashThread != b.CrashThread ||
@@ -82,15 +81,15 @@ func outcomeEqual(a, b *Outcome) bool {
 }
 
 // FuzzWireFrame is the binary wire codec's round-trip fuzzer, the
-// protocol-2 analogue of the scenario XML FuzzRoundTrip:
+// wire analogue of the scenario XML FuzzRoundTrip:
 //
 //   - outcomes derived from the fuzz input must survive
 //     encodeRunResponse → decodeRunResponse bit-for-bit, both with the
 //     universe inline (first response on a connection) and by tag
 //     (steady state);
-//   - the decoded outcomes must serialize to exactly the same JSON as
-//     the originals — the binary and JSON encodings are two views of
-//     one response, never two dialects;
+//   - the decoded outcomes must render exactly like the originals in
+//     the equivalence oracle's form (marshalOutcomes), coverage
+//     included;
 //   - a run request must survive encodeRunRequest → decodeRunRequest;
 //   - arbitrary bytes fed to the decoders may error but never panic.
 func FuzzWireFrame(f *testing.F) {
@@ -144,10 +143,10 @@ func FuzzWireFrame(f *testing.F) {
 					t.Fatalf("round %d: outcome %d differs:\n got %+v\nwant %+v", round, i, resp.Outcomes[i], outs[i])
 				}
 			}
-			// JSON equivalence: materialize both sides at the JSON
-			// boundary exactly like ServeConn does for proto-1 clients.
-			want := marshalJSONForm(t, outs)
-			got := marshalJSONForm(t, resp.Outcomes)
+			// Whole-outcome equivalence in the oracle's rendered form,
+			// coverage materialized as sorted block IDs.
+			want := marshalOutcomes(t, outs)
+			got := marshalOutcomes(t, resp.Outcomes)
 			if !bytes.Equal(want, got) {
 				t.Fatalf("round %d: JSON form differs:\n got %s\nwant %s", round, got, want)
 			}
@@ -177,26 +176,6 @@ func FuzzWireFrame(f *testing.F) {
 			}
 		}
 	})
-}
-
-// marshalJSONForm renders outcomes the way the JSON wire path ships
-// them: Blocks materialized, hot-path fields json:"-" so they drop out.
-func marshalJSONForm(t *testing.T, outs []*Outcome) []byte {
-	t.Helper()
-	forms := make([]*Outcome, len(outs))
-	for i, o := range outs {
-		c := *o
-		if c.Blocks == nil && c.CovU != nil {
-			c.Blocks = c.BlockIDs()
-		}
-		c.Cov, c.CovU = nil, nil
-		forms[i] = &c
-	}
-	data, err := json.Marshal(forms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // TestDecodeUnknownUniverseTag pins the steady-state failure mode: a

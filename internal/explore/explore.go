@@ -1191,10 +1191,11 @@ type mixedImage struct {
 
 // mixedImageFor resolves (memoized) the reconciliation state for a
 // foreign image version some worker reported. The fingerprints come
-// from the worker itself over the proto-3 "funcs" RPC, routed through
-// the fleet; when no live backend can serve them the set degrades to a
-// fallback that intersects everything, so every outcome from that
-// image re-validates — never adopts on a bound we cannot prove.
+// from the worker itself over the wire protocol's "funcs" RPC, routed
+// through the fleet; when no live backend can serve them the set
+// degrades to a fallback that intersects everything, so every outcome
+// from that image re-validates — never adopts on a bound we cannot
+// prove.
 func (x *explorer) mixedImageFor(image string) *mixedImage {
 	if m, ok := x.mixed[image]; ok {
 		return m

@@ -293,6 +293,9 @@ func TestSessionExploreRemoteMatchesLocal(t *testing.T) {
 	if strings.Join(lw, "\n") != strings.Join(rw, "\n") {
 		t.Fatalf("remote exploration found different bugs:\nlocal:  %v\nremote: %v", lw, rw)
 	}
+	if localRes.Final != remoteRes.Final {
+		t.Fatalf("remote exploration reached different recovery coverage:\nlocal:  %v\nremote: %v", localRes.Final, remoteRes.Final)
+	}
 	if remoteRes.Executed == 0 {
 		t.Fatal("remote exploration executed nothing")
 	}
