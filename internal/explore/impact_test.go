@@ -410,60 +410,6 @@ func TestStoreEntryStampRetentionPrune(t *testing.T) {
 	}
 }
 
-// TestStoreLegacyUnreadable: a torn v1 document — at the store path or
-// parked at path+".v1" by an interrupted migration — is parked aside as
-// .unreadable and the store starts fresh; it never errors out and never
-// half-loads.
-func TestStoreLegacyUnreadable(t *testing.T) {
-	t.Run("at-path", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "explore.json")
-		if err := os.WriteFile(path, []byte(`{"system":"sys","entries":{"s1@aa`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		st, err := LoadStore(path, "sys", "img@1")
-		if err != nil {
-			t.Fatalf("torn legacy store refused: %v", err)
-		}
-		if _, ok := st.Lookup("s1@aaaa"); ok {
-			t.Fatal("half-parsed entry loaded from a torn document")
-		}
-		if _, err := os.Stat(path + ".unreadable"); err != nil {
-			t.Fatalf("torn document not parked aside: %v", err)
-		}
-		// The fresh store is fully usable at the original path.
-		st.Put("n@rrrr", Entry{Name: "new"})
-		if err := st.Save(map[string]bool{"n@rrrr": true}); err != nil {
-			t.Fatal(err)
-		}
-		re, err := LoadStore(path, "sys", "img@1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := re.Lookup("n@rrrr"); !ok {
-			t.Fatal("store written after parking lost its entry")
-		}
-	})
-	t.Run("parked-v1", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "explore.json")
-		if err := os.WriteFile(path+legacyParkSuffix, []byte("not json at all"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		st, err := LoadStore(path, "sys", "img@1")
-		if err != nil {
-			t.Fatalf("torn parked migration refused: %v", err)
-		}
-		if got := st.Stats().Entries; got != 0 {
-			t.Fatalf("torn parked document yielded %d entries", got)
-		}
-		if _, err := os.Stat(path + ".unreadable"); err != nil {
-			t.Fatalf("torn parked document not parked as unreadable: %v", err)
-		}
-		if _, err := os.Stat(path + legacyParkSuffix); !os.IsNotExist(err) {
-			t.Fatal("torn .v1 left in place — would re-trigger on every load")
-		}
-	})
-}
-
 // TestStorePreviousImage: the manifest fingerprints round-trip, and
 // manifests predating fingerprint recording are skipped as diff bases.
 func TestStorePreviousImage(t *testing.T) {

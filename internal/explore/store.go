@@ -158,9 +158,8 @@ func splitKey(key string) (scen, region string, ok bool) {
 // system and image version, creating nothing on disk until the first
 // flush. Loading a store written for a different system is refused —
 // saving would destroy that system's cache; shards of other image
-// versions of the same system are loaded and kept. A legacy v1
-// single-document store at path is migrated into the shard layout
-// transparently.
+// versions of the same system are loaded and kept. A regular file at
+// path (a v1 single-document store) is refused and left untouched.
 func LoadStore(path, system, image string) (*Store, error) {
 	st := &Store{
 		dir:    filepath.Join(path, system),
@@ -171,107 +170,18 @@ func LoadStore(path, system, image string) (*Store, error) {
 	}
 	fi, err := os.Stat(path)
 	if os.IsNotExist(err) {
-		// A crash mid-migration leaves the v1 document parked at
-		// path+".v1" (see migrateLegacy); resume from it.
-		if _, verr := os.Stat(path + legacyParkSuffix); verr == nil {
-			if err := st.migrateLegacy(path + legacyParkSuffix); err != nil {
-				return nil, err
-			}
-		}
 		return st, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("explore: store: %w", err)
 	}
 	if !fi.IsDir() {
-		if err := st.migrateLegacy(path); err != nil {
-			return nil, err
-		}
-		return st, nil
+		return nil, fmt.Errorf("explore: store %s is a file: v1 single-file stores are no longer read — point the store at a directory", path)
 	}
 	if err := st.loadDir(); err != nil {
 		return nil, err
 	}
 	return st, nil
-}
-
-// legacyParkSuffix is where migrateLegacy parks the v1 document during
-// the directory swap; LoadStore resumes from it after a mid-swap crash.
-const legacyParkSuffix = ".v1"
-
-// migrateLegacy converts a v1 single-file store (at src, which is
-// either the store path itself or a parked path+".v1" from an earlier
-// interrupted migration) into the shard layout. The shard tree is
-// staged durably in a sibling directory, the legacy document is parked
-// aside rather than deleted, and only after the staged directory is
-// renamed into place is the parked copy removed — every step of the
-// sequence leaves the cached outcomes recoverable on disk.
-func (s *Store) migrateLegacy(src string) error {
-	data, err := os.ReadFile(src)
-	if err != nil {
-		return fmt.Errorf("explore: store: %w", err)
-	}
-	var legacy struct {
-		System  string           `json:"system"`
-		Entries map[string]Entry `json:"entries"`
-	}
-	if err := json.Unmarshal(data, &legacy); err != nil {
-		// A torn v1 document (killed mid-write before the store was
-		// crash-safe, or a parked .v1 from an interrupted migration
-		// that never completed a write) holds nothing recoverable. Park
-		// the bytes aside for post-mortems and start the shard store
-		// fresh — the worst case is re-executing what the document
-		// would have cached, never an unusable store.
-		if rerr := os.Rename(src, strings.TrimSuffix(src, legacyParkSuffix)+".unreadable"); rerr != nil {
-			return fmt.Errorf("explore: store %s: unparsable legacy document (%v) could not be parked aside: %w", src, err, rerr)
-		}
-		return nil
-	}
-	if legacy.System != "" && legacy.System != s.system {
-		return fmt.Errorf("explore: store %s belongs to system %q, not %q — use a separate store path per target",
-			src, legacy.System, s.system)
-	}
-	dst := strings.TrimSuffix(src, legacyParkSuffix)
-	tmpRoot := dst + ".migrate"
-	if err := os.RemoveAll(tmpRoot); err != nil {
-		return fmt.Errorf("explore: store: migrating %s: %w", src, err)
-	}
-	staged := &Store{
-		dir:    filepath.Join(tmpRoot, s.system),
-		system: s.system,
-		image:  s.image,
-		shards: make(map[string]*shard),
-		index:  storeIndex{System: s.system},
-	}
-	if err := os.MkdirAll(staged.dir, 0o755); err != nil {
-		return fmt.Errorf("explore: store: migrating %s: %w", src, err)
-	}
-	for key, e := range legacy.Entries {
-		staged.Put(key, e)
-	}
-	if err := staged.FlushDirty(); err != nil {
-		return err
-	}
-	park := dst + legacyParkSuffix
-	if src != park {
-		if err := os.Rename(src, park); err != nil {
-			return fmt.Errorf("explore: store: migrating %s: %w", src, err)
-		}
-	}
-	if err := os.Rename(tmpRoot, dst); err != nil {
-		return fmt.Errorf("explore: store: migrating %s: %w", src, err)
-	}
-	os.Remove(park) // best-effort: once dst exists, a leftover park is inert
-	s.shards = staged.shards
-	// Migrated v1 entries came from disk: count them as loaded so the
-	// compaction stats treat them like any other cached outcome.
-	for _, sh := range s.shards {
-		sh.loaded = make(map[string]bool, len(sh.entries))
-		for scen := range sh.entries {
-			sh.loaded[scen] = true
-		}
-	}
-	return nil
 }
 
 // loadDir reads index.json and every parsable shard. Partial writes —

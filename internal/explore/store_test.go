@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -65,56 +66,42 @@ func TestStoreCrashSafePartialWrite(t *testing.T) {
 	}
 }
 
-// TestStoreLegacyMigration: a v1 single-document store is split into
-// shards transparently and keeps its entries.
-func TestStoreLegacyMigration(t *testing.T) {
+// TestStoreRefusesFile: a regular file at the store path — a v1
+// single-document store, or any stray file — is refused with an error
+// naming the cause and left byte-for-byte untouched; a shard directory
+// whose index belongs to another system is refused the same way.
+func TestStoreRefusesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "explore.json")
-	legacy := `{"system":"sys","image":"img@0","entries":{` +
-		`"s1@aaaa":{"name":"one","failed":true,"signature":"sig"},` +
-		`"s2@bbbb":{"name":"two","blocks":["rec.x"]}}}`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+	v1 := []byte(`{"system":"sys","image":"img@0","entries":{"s1@aaaa":{"name":"one"}}}`)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := LoadStore(path, "sys", "img@1")
-	if err != nil {
+	if _, err := LoadStore(path, "sys", "img@1"); err == nil || !strings.Contains(err.Error(), "v1 single-file stores are no longer read") {
+		t.Fatalf("file store path accepted or refused without the cause: %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, v1) {
+		t.Fatalf("refused v1 store was modified: %q, %v", got, err)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("refusal left files beside the v1 store: %v %v", entries, err)
+	}
+
+	// A store for a different system is refused, not destroyed.
+	root := t.TempDir()
+	index := filepath.Join(root, "sys", "index.json")
+	if err := os.MkdirAll(filepath.Dir(index), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	e, ok := st.Lookup("s1@aaaa")
-	if !ok || !e.Failed || e.Signature != "sig" {
-		t.Fatalf("legacy entry lost: %+v ok=%v", e, ok)
-	}
-	if _, ok := st.Lookup("s2@bbbb"); !ok {
-		t.Fatal("second legacy entry lost")
-	}
-	// The old file was swapped for the shard directory, and the
-	// migrated entries are durable immediately — a crash right after
-	// LoadStore (before any Save) must not lose the cached campaign.
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Fatalf("legacy file not swapped for shard dir: %v", err)
-	}
-	re, err := LoadStore(path, "sys", "img@1")
-	if err != nil {
+	theirs := []byte(`{"system":"theirs","images":[]}`)
+	if err := os.WriteFile(index, theirs, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := re.Lookup("s1@aaaa"); !ok {
-		t.Fatal("migrated entry not durable before first Save")
+	if _, err := LoadStore(root, "sys", "img@1"); err == nil || !strings.Contains(err.Error(), "theirs") {
+		t.Fatalf("cross-system store accepted: %v", err)
 	}
-	if err := st.Save(map[string]bool{"s1@aaaa": true, "s2@bbbb": true}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(st.Shards()); got != 2 {
-		t.Fatalf("want 2 shards after migration, have %d", got)
-	}
-	// A legacy store for a different system is refused, not destroyed.
-	other := filepath.Join(t.TempDir(), "other.json")
-	if err := os.WriteFile(other, []byte(`{"system":"theirs","entries":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadStore(other, "sys", "img@1"); err == nil || !strings.Contains(err.Error(), "theirs") {
-		t.Fatalf("cross-system legacy store accepted: %v", err)
-	}
-	if _, err := os.Stat(other); err != nil {
-		t.Fatal("refused legacy store was removed")
+	if got, err := os.ReadFile(index); err != nil || !bytes.Equal(got, theirs) {
+		t.Fatal("refused cross-system store was modified")
 	}
 }
 
@@ -211,31 +198,6 @@ func TestStoreConcurrentSameShardFlush(t *testing.T) {
 				t.Fatalf("entry %s lost in same-shard flush race", key)
 			}
 		}
-	}
-}
-
-// TestStoreMigrationCrashResume: a crash between parking the v1 file
-// and renaming the staged directory into place leaves path missing and
-// path+".v1" present — the next LoadStore must resume the migration
-// from the parked copy with no entries lost.
-func TestStoreMigrationCrashResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "explore.json")
-	legacy := `{"system":"sys","entries":{"s1@aaaa":{"name":"one"}}}`
-	if err := os.WriteFile(path+".v1", []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := LoadStore(path, "sys", "img@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Lookup("s1@aaaa"); !ok {
-		t.Fatal("entry lost across interrupted migration")
-	}
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Fatalf("migration not completed: %v", err)
-	}
-	if _, err := os.Stat(path + ".v1"); !os.IsNotExist(err) {
-		t.Fatalf("parked v1 file not cleaned up: %v", err)
 	}
 }
 
